@@ -55,7 +55,8 @@ int main() {
 
     SlemOptions slem_options;
     slem_options.seed = bench::kBenchSeed;
-    const double m = second_largest_eigenvalue(g, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(g, slem_options);
+    const double m = slem.mu;
     const DegreeStats degrees = degree_stats(g);
     const double cluster = average_local_clustering(g);
     const double diam = double_sweep_diameter(g);
@@ -75,7 +76,8 @@ int main() {
     top_core_nu.push_back(nu_top);
     core_count.push_back(cores);
 
-    table.add_row({spec.name, fixed(m, 4), with_thousands(g.num_vertices()),
+    table.add_row({spec.name, bench::mu_cell(m, slem.converged),
+                   with_thousands(g.num_vertices()),
                    fixed(degrees.mean, 1), fixed(cluster, 3),
                    fixed(diam, 0), fixed(degen, 0), fixed(nu_top, 3),
                    fixed(cores, 0)});

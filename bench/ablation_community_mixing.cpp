@@ -34,7 +34,7 @@ int main() {
 
     SlemOptions slem_options;
     slem_options.seed = bench::kBenchSeed;
-    const double mu = second_largest_eigenvalue(g, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(g, slem_options);
 
     MixingOptions mixing_options;
     mixing_options.num_sources = 10;
@@ -50,7 +50,8 @@ int main() {
     const double phi =
         conductance_sweep(g, fiedler_vector(g)).best_conductance;
 
-    table.add_row({fixed(cross_degree, 2), fixed(mu, 4),
+    table.add_row({fixed(cross_degree, 2),
+                   bench::mu_cell(slem.mu, slem.converged),
                    t == 0xFFFFFFFFu ? "> 300" : std::to_string(t),
                    std::to_string(max_cores), fixed(phi, 4)});
     std::cerr << "  cross-degree " << cross_degree << " done\n";

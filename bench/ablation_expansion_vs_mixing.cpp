@@ -48,7 +48,8 @@ int main() {
 
     SlemOptions slem_options;
     slem_options.seed = bench::kBenchSeed;
-    const double mu = second_largest_eigenvalue(g, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(g, slem_options);
+    const double mu = slem.mu;
 
     ExpansionOptions expansion_options;
     expansion_options.num_sources = std::min<std::uint32_t>(
@@ -59,7 +60,8 @@ int main() {
 
     mus.push_back(mu);
     alphas.push_back(alpha);
-    table.add_row({spec.name, fixed(mu, 4), fixed(alpha, 4),
+    table.add_row({spec.name, bench::mu_cell(mu, slem.converged),
+                   fixed(alpha, 4),
                    to_string(spec.expected_class)});
     std::cerr << "  " << spec.id << " done\n";
   }

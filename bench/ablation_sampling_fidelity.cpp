@@ -61,10 +61,11 @@ int main() {
     const std::uint32_t degeneracy = core_decomposition(row.graph).degeneracy;
     SlemOptions slem_options;
     slem_options.seed = bench::kBenchSeed;
-    const double mu = second_largest_eigenvalue(row.graph, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(row.graph, slem_options);
     table.add_row({row.name, with_thousands(row.graph.num_vertices()),
                    fixed(degrees.mean, 2), fixed(clustering, 3),
-                   std::to_string(degeneracy), fixed(mu, 4)});
+                   std::to_string(degeneracy),
+                   bench::mu_cell(slem.mu, slem.converged)});
     std::cerr << "  " << row.name << " done\n";
   }
   table.print(std::cout);

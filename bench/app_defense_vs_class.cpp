@@ -28,7 +28,7 @@ int main() {
 
     SlemOptions slem_options;
     slem_options.seed = bench::kBenchSeed;
-    const double mu = second_largest_eigenvalue(honest, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(honest, slem_options);
 
     AttackParams attack;
     attack.num_sybils = honest.num_vertices() / 4;
@@ -47,7 +47,8 @@ int main() {
     const double auc = ranking_auc(rank.ranking, attacked);
     const PairwiseEvaluation sr_eval = evaluate_sybilrank(attacked, {0, 1, 2});
 
-    table.add_row({spec.name, to_string(spec.expected_class), fixed(mu, 4),
+    table.add_row({spec.name, to_string(spec.expected_class),
+                   bench::mu_cell(slem.mu, slem.converged),
                    fixed(100 * gk_eval.honest_accept_fraction, 1) + "%",
                    fixed(gk_eval.sybils_per_attack_edge, 2), fixed(auc, 3),
                    fixed(100 * sr_eval.honest_accept_fraction, 1) + "%"});

@@ -6,6 +6,7 @@
 // Slashdot) get clearly smaller mu than strict-trust graphs (Physics, DBLP,
 // Facebook), whose mu approaches 1.
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "markov/spectral.hpp"
@@ -17,8 +18,8 @@ static int run_bench() {
   using namespace sntrust;
   bench::Section section{"Table I: dataset inventory and SLEM (mu)"};
 
-  Table table{{"Dataset", "Nodes", "Edges", "mu (measured)", "mu (paper)",
-               "class"}};
+  Table table{{"Dataset", "Nodes", "Edges", "mu (measured)", "iterations",
+               "converged", "mu (paper)", "class"}};
   for (const DatasetSpec& spec : all_datasets()) {
     bench::DatasetTimer dataset_timer;
     const Graph g = bench::dataset_graph(spec);
@@ -27,6 +28,8 @@ static int run_bench() {
     const SlemResult slem = second_largest_eigenvalue(g, options);
     table.add_row({spec.name, with_thousands(g.num_vertices()),
                    with_thousands(g.num_edges()), fixed(slem.mu, 4),
+                   std::to_string(slem.iterations),
+                   slem.converged ? "yes" : "no (capped)",
                    spec.paper_mu ? fixed(*spec.paper_mu, 3) : "n/a",
                    to_string(spec.expected_class)});
     std::cerr << "  measured " << spec.id << "\n";

@@ -31,11 +31,11 @@ AnonymityCurve measure_anonymity(const Graph& g, VertexId sender,
   const Distribution pi = stationary_distribution(g);
   Distribution p = dirac(g.num_vertices(), sender);
   Distribution buffer(p.size());
+  TransitionOperator op{g};
   curve.entropy_bits.push_back(shannon_entropy_bits(p));
   curve.leak_tvd.push_back(total_variation(p, pi));
   for (std::uint32_t t = 1; t <= max_hops; ++t) {
-    if (lazy) step_distribution_lazy(g, p, buffer);
-    else step_distribution(g, p, buffer);
+    op.apply(lazy ? StepKind::kLazy : StepKind::kPlain, 0.0, p, buffer);
     p.swap(buffer);
     curve.entropy_bits.push_back(shannon_entropy_bits(p));
     curve.leak_tvd.push_back(total_variation(p, pi));

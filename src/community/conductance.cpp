@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "community/community.hpp"
+#include "markov/transition.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
@@ -19,12 +20,11 @@ std::vector<double> fiedler_vector(const Graph& g,
   // operator (I + N)/2 (spectrum in [0, 1]) with the principal direction
   // phi = D^{1/2} 1 deflated; the dominant remaining eigenvector is the
   // Fiedler direction of the normalized Laplacian.
-  std::vector<double> inv_sqrt_deg(n), phi(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const double d = static_cast<double>(g.degree(v));
-    inv_sqrt_deg[v] = d > 0.0 ? 1.0 / std::sqrt(d) : 0.0;
-    phi[v] = std::sqrt(d);
-  }
+  TransitionOperator op{g};  // y = N x, the symmetric blend
+  const std::vector<double>& inv_sqrt_deg = op.inv_sqrt_degree();
+  std::vector<double> phi(n);
+  for (VertexId v = 0; v < n; ++v)
+    phi[v] = std::sqrt(static_cast<double>(g.degree(v)));
   {
     double norm = std::sqrt(std::inner_product(phi.begin(), phi.end(),
                                                phi.begin(), 0.0));
@@ -49,16 +49,8 @@ std::vector<double> fiedler_vector(const Graph& g,
 
   deflate(x);
   normalize(x);
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
   for (std::uint32_t it = 0; it < max_iterations; ++it) {
-    std::fill(y.begin(), y.end(), 0.0);
-    for (VertexId v = 0; v < n; ++v) {
-      const double xv = x[v] * inv_sqrt_deg[v];
-      if (xv == 0.0) continue;
-      for (EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e)
-        y[targets[e]] += xv * inv_sqrt_deg[targets[e]];
-    }
+    op.apply(StepKind::kSymmetric, 0.0, x, y);
     for (VertexId v = 0; v < n; ++v) y[v] = 0.5 * (y[v] + x[v]);
     deflate(y);
     normalize(y);

@@ -131,7 +131,9 @@ std::vector<EvolutionPoint> measure_evolution(
     }
     SlemOptions slem_options;
     slem_options.seed = options.seed;
-    point.mu = second_largest_eigenvalue(g, slem_options).mu;
+    const SlemResult slem = second_largest_eigenvalue(g, slem_options);
+    point.mu = slem.mu;
+    point.mu_converged = slem.converged;
 
     const CoreDecomposition cores = core_decomposition(g);
     point.degeneracy = cores.degeneracy;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "graph/layout.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
@@ -24,13 +23,11 @@ constexpr EdgeIndex kEmptyOffsets[1] = {0};
 }  // namespace
 
 /// Per-graph cache block, shared by all copies of a Graph: the structural
-/// fingerprint and one layout engine slot per GraphLayout. Guarded by its
-/// own mutex; builds happen once per graph, not once per sweep worker.
+/// fingerprint, guarded by its own mutex.
 struct GraphAux {
   std::mutex mutex;
   bool fingerprint_set = false;
   std::uint64_t fingerprint = 0;
-  std::shared_ptr<const LayoutData> layouts[3];
 };
 
 Graph::Graph()
@@ -118,21 +115,6 @@ void Graph::set_cached_fingerprint(std::uint64_t fingerprint) const {
   std::lock_guard<std::mutex> lock(aux_->mutex);
   aux_->fingerprint_set = true;
   aux_->fingerprint = fingerprint;
-}
-
-std::shared_ptr<const LayoutData> Graph::layout(GraphLayout which) const {
-  if (which == GraphLayout::kPlain) return nullptr;
-  const int slot = static_cast<int>(which);
-  {
-    std::lock_guard<std::mutex> lock(aux_->mutex);
-    if (aux_->layouts[slot]) return aux_->layouts[slot];
-  }
-  // Build outside the lock (it is O(n log n + m)); a concurrent duplicate
-  // build is harmless — first writer wins, both results are identical.
-  std::shared_ptr<const LayoutData> built = LayoutData::build(*this, which);
-  std::lock_guard<std::mutex> lock(aux_->mutex);
-  if (!aux_->layouts[slot]) aux_->layouts[slot] = std::move(built);
-  return aux_->layouts[slot];
 }
 
 void Graph::validate_header() const {

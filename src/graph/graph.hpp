@@ -11,9 +11,9 @@
 // the zero-copy mmap snapshot path (graph/snapshot.hpp), where a keepalive
 // handle pins the mapping for the graph's lifetime and integrity comes from
 // the snapshot CRC instead of the O(m log deg) structural validation.
-// Copies are shallow: they share the storage and the per-graph caches
-// (structural fingerprint, layout engines), so passing a Graph by value is
-// cheap and never duplicates a multi-GB adjacency.
+// Copies are shallow: they share the storage and the cached structural
+// fingerprint, so passing a Graph by value is cheap and never duplicates a
+// multi-GB adjacency.
 #pragma once
 
 #include <cassert>
@@ -36,19 +36,7 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// Physical layout of the hot-loop adjacency substrate (graph/layout.hpp).
-/// kPlain is the external-id CSR itself — the correctness oracle; the other
-/// layouts relabel vertices by descending degree and back their rows with
-/// raw or varint-compressed storage. Selected process-wide via
-/// SNTRUST_LAYOUT; every layout produces bitwise-identical measured results.
-enum class GraphLayout : int {
-  kPlain = 0,       ///< external-id CSR, no relabeling (default, oracle)
-  kHilo = 1,        ///< degree-ordered; hub rows raw, low-degree tail varint
-  kCompressed = 2,  ///< degree-ordered; every row varint-delta compressed
-};
-
-class LayoutData;   // graph/layout.hpp
-struct GraphAux;    // internal per-graph cache block (graph.cpp)
+struct GraphAux;  // internal per-graph cache block (graph.cpp)
 
 class Graph {
  public:
@@ -128,11 +116,6 @@ class Graph {
   std::optional<std::uint64_t> cached_fingerprint() const;
   void set_cached_fingerprint(std::uint64_t fingerprint) const;
 
-  /// The layout engine for this graph, built lazily on first acquisition
-  /// and cached (shared across copies). Returns nullptr for kPlain — the
-  /// graph itself is the plain layout. See graph/layout.hpp.
-  std::shared_ptr<const LayoutData> layout(GraphLayout which) const;
-
  private:
   Graph(std::span<const EdgeIndex> offsets, std::span<const VertexId> targets,
         std::shared_ptr<const void> storage, bool deep_validate);
@@ -144,7 +127,7 @@ class Graph {
   std::span<const EdgeIndex> offsets_;
   std::span<const VertexId> targets_;
   std::shared_ptr<const void> storage_;  ///< owns vectors or pins an mmap
-  std::shared_ptr<GraphAux> aux_;        ///< fingerprint + layout caches
+  std::shared_ptr<GraphAux> aux_;        ///< fingerprint cache
 };
 
 }  // namespace sntrust

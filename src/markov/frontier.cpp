@@ -6,20 +6,13 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "markov/modulated.hpp"
-#include "markov/transition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel.hpp"
 #include "util/env.hpp"
 
 namespace sntrust {
 
 namespace {
-
-/// Candidate rows per worker chunk for the sparse pull: each row is a short
-/// gather, so small frontiers stay inline.
-constexpr std::size_t kSparseGrain = 1024;
 
 /// Runtime override of the process-wide kernel mode; -1 = none.
 std::atomic<int> g_kernel_override{-1};
@@ -107,23 +100,20 @@ double support_tvd(const Distribution& p, const std::vector<VertexId>& support,
 }
 
 FrontierWalk::FrontierWalk(const Graph& g)
-    : FrontierWalk(
-          g, Options{kernel_mode(), kernel_dense_fraction(), graph_layout()}) {}
+    : FrontierWalk(g, Options{kernel_mode(), kernel_dense_fraction()}) {}
 
 FrontierWalk::FrontierWalk(const Graph& g, const Options& options)
     : graph_(g),
       mode_(options.mode),
       dense_fraction_(options.dense_fraction),
+      op_(g),
       p_(g.num_vertices(), 0.0),
       buffer_(g.num_vertices(), 0.0),
       seen_(g.num_vertices(), 0),
       sparse_steps_(obs::metrics_counter("kernel.sparse_steps")),
       dense_steps_(obs::metrics_counter("kernel.dense_steps")),
       frontier_edges_(obs::metrics_counter("kernel.frontier_edges")),
-      step_latency_(obs::metrics_quantile("kernel.step_ms")) {
-  if (options.layout != GraphLayout::kPlain)
-    matvec_.emplace(g, g.layout(options.layout));
-}
+      step_latency_(obs::metrics_quantile("kernel.step_ms")) {}
 
 void FrontierWalk::reset(VertexId source) {
   const VertexId n = graph_.num_vertices();
@@ -191,78 +181,18 @@ void FrontierWalk::clear_buffer() {
 }
 
 void FrontierWalk::dense_step(StepKind kind, double alpha) {
-  if (matvec_) {  // degree-ordered substrate; bitwise equal to the CSR path
-    matvec_->step(kind, alpha, p_, buffer_);
-    return;
-  }
-  switch (kind) {
-    case StepKind::kPlain:
-      step_distribution(graph_, p_, buffer_);
-      break;
-    case StepKind::kLazy:
-      step_distribution_lazy(graph_, p_, buffer_);
-      break;
-    case StepKind::kModulated:
-      step_modulated(graph_, p_, buffer_, alpha);
-      break;
-  }
+  op_.apply(kind, alpha, p_, buffer_);
 }
 
 void FrontierWalk::sparse_step(StepKind kind, double alpha) {
-  const auto& offsets = graph_.offsets();
-  const auto& targets = graph_.targets();
-  const Distribution& p = p_;
-  // Each candidate row accumulates exactly the nonzero terms of its full
-  // CSR-order adjacency scan, in the same ascending order — the identical
-  // summation the dense kernels perform for that row, so sparse and dense
-  // results are bitwise equal. For rows much longer than the support, the
-  // surviving terms are row ∩ support: walking the (ascending) support and
-  // binary-searching each vertex in the sorted row enumerates the same
-  // terms in the same order at O(|supp| log deg) instead of O(deg).
-  const std::size_t support_size = support_.size();
-  parallel::parallel_for(
-      0, candidates_.size(),
-      [&](std::size_t idx, std::uint32_t) {
-        const VertexId v = candidates_[idx];
-        const EdgeIndex row_begin = offsets[v];
-        const EdgeIndex row_end = offsets[v + 1];
-        double acc = 0.0;
-        if (support_size * 4 < row_end - row_begin) {
-          const VertexId* row = targets.data();
-          EdgeIndex lo = row_begin;
-          for (const VertexId w : support_) {
-            if (p[w] == 0.0) continue;
-            const VertexId* it =
-                std::lower_bound(row + lo, row + row_end, w);
-            lo = static_cast<EdgeIndex>(it - row);
-            if (lo < row_end && row[lo] == w) {
-              acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
-              ++lo;
-            }
-          }
-        } else {
-          for (EdgeIndex i = row_begin; i < row_end; ++i) {
-            const VertexId w = targets[i];
-            if (p[w] == 0.0) continue;
-            acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
-          }
-        }
-        switch (kind) {
-          case StepKind::kPlain:
-            buffer_[v] = acc;
-            break;
-          case StepKind::kLazy:
-            buffer_[v] = 0.5 * acc + 0.5 * p[v];
-            break;
-          case StepKind::kModulated:
-            buffer_[v] = alpha * p[v] + (1.0 - alpha) * acc;
-            break;
-        }
-      },
-      kSparseGrain);
+  // Only the candidate rows can be nonzero after the step; the operator
+  // pre-scales the support alone and gathers those rows.
+  op_.apply_rows(kind, alpha, p_, support_, candidates_, buffer_);
 }
 
 void FrontierWalk::step(StepKind kind, double alpha) {
+  if (kind == StepKind::kOriginatorBiased || kind == StepKind::kSymmetric)
+    throw std::invalid_argument("FrontierWalk::step: not a walk step kind");
   if (kind == StepKind::kModulated && (alpha < 0.0 || alpha >= 1.0))
     throw std::invalid_argument("FrontierWalk::step: alpha must be in [0,1)");
 

@@ -7,12 +7,13 @@
 // stationary distribution in O(|support|) with a precomputed pi prefix
 // structure.
 //
-// Exactness contract: a candidate row gathers over its *full adjacency* in
-// CSR order skipping zero entries — the identical summation the dense kernel
-// performs for that row — so every kernel mode (dense, sparse, auto) produces
-// bitwise identical distributions and TVD curves. The modes differ only in
-// how much work they do, never in what they compute; `SNTRUST_KERNEL`
-// selects the process-wide default and tests pin the identity.
+// Exactness contract: dense and sparse steps are the two entry points of one
+// gather core (markov/transition.hpp), which sums the same pre-scaled terms
+// of a row in the same order either way — so every kernel mode (dense,
+// sparse, auto) produces bitwise identical distributions and TVD curves. The
+// modes differ only in how much work they do, never in what they compute;
+// `SNTRUST_KERNEL` selects the process-wide default and tests pin the
+// identity.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,7 @@
 
 #include "graph/graph.hpp"
 #include "markov/distribution.hpp"
-#include "markov/layout_matvec.hpp"
-#include "markov/transition.hpp"  // StepKind
+#include "markov/transition.hpp"
 
 namespace sntrust {
 namespace obs {
@@ -113,10 +113,6 @@ class FrontierWalk {
     KernelMode mode = KernelMode::kAuto;
     /// Dense crossover as a fraction of 2m (see kernel_dense_fraction()).
     double dense_fraction = 0.5;
-    /// Adjacency substrate for the dense gathers (graph/layout.hpp). Plain
-    /// runs the CSR kernels directly; the degree-ordered layouts route
-    /// through LayoutMatvec. Bitwise identical either way.
-    GraphLayout layout = GraphLayout::kPlain;
   };
 
   /// Resolves mode / threshold from the process-wide defaults.
@@ -127,7 +123,7 @@ class FrontierWalk {
   void reset(VertexId source);
 
   /// Advances one step of the chosen chain (alpha is the kModulated retain
-  /// weight, in [0, 1)).
+  /// weight, in [0, 1)). Walk kinds kPlain, kLazy and kModulated only.
   void step(StepKind kind, double alpha = 0.0);
 
   /// TVD of the current distribution against pi; support-aware until the
@@ -156,7 +152,7 @@ class FrontierWalk {
   const Graph& graph_;
   KernelMode mode_;
   double dense_fraction_;
-  std::optional<LayoutMatvec> matvec_;  // engaged when layout != plain
+  TransitionOperator op_;
 
   Distribution p_, buffer_;
   std::vector<VertexId> support_;         // sorted support of p_

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "graph/components.hpp"
+#include "markov/transition.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,20 +14,6 @@
 namespace sntrust {
 
 namespace {
-
-void apply_normalized(const Graph& g, const std::vector<double>& inv_sqrt_deg,
-                      const std::vector<double>& x, std::vector<double>& y) {
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
-  const VertexId n = g.num_vertices();
-  y.assign(n, 0.0);
-  for (VertexId v = 0; v < n; ++v) {
-    const double xv = x[v] * inv_sqrt_deg[v];
-    if (xv == 0.0) continue;
-    for (EdgeIndex e = offsets[v]; e < offsets[v + 1]; ++e)
-      y[targets[e]] += xv * inv_sqrt_deg[targets[e]];
-  }
-}
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   double s = 0.0;
@@ -89,9 +76,7 @@ LanczosResult lanczos_spectrum(const Graph& g, const LanczosOptions& options) {
   if (m == 0) m = std::min<std::uint32_t>(n, 4 * options.num_eigenvalues + 32);
   m = std::min<std::uint32_t>(m, n);
 
-  std::vector<double> inv_sqrt_deg(n);
-  for (VertexId v = 0; v < n; ++v)
-    inv_sqrt_deg[v] = 1.0 / std::sqrt(static_cast<double>(g.degree(v)));
+  TransitionOperator op{g};  // w = N q, the symmetric blend
 
   Rng rng{options.seed};
   std::vector<std::vector<double>> basis;
@@ -109,7 +94,7 @@ LanczosResult lanczos_spectrum(const Graph& g, const LanczosOptions& options) {
   LanczosResult result;
   for (std::uint32_t j = 0; j < m; ++j) {
     basis.push_back(q);
-    apply_normalized(g, inv_sqrt_deg, q, w);
+    op.apply(StepKind::kSymmetric, 0.0, q, w);
     const double alpha = dot(w, q);
     diag.push_back(alpha);
     // w -= alpha q + beta q_{j-1}; then full reorthogonalization.

@@ -141,8 +141,7 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
   const StationaryPrefix prefix{pi};
   const FrontierWalk::Options kernel{
       options.kernel.value_or(kernel_mode()),
-      options.kernel_dense_fraction.value_or(kernel_dense_fraction()),
-      options.layout.value_or(graph_layout())};
+      options.kernel_dense_fraction.value_or(kernel_dense_fraction())};
   const StepKind kind = options.lazy ? StepKind::kLazy : StepKind::kPlain;
   // One curve slot per source position: workers write disjoint slots, so
   // the result is bitwise identical for any thread count. The kernel mode

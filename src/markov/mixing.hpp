@@ -33,11 +33,6 @@ struct MixingOptions {
   /// SNTRUST_KERNEL_THRESHOLD. 0 forces dense gathers from the first step,
   /// +infinity keeps the sparse pull until the support saturates.
   std::optional<double> kernel_dense_fraction;
-  /// Adjacency layout for the dense gathers; unset inherits the
-  /// process-wide layout (SNTRUST_LAYOUT / set_graph_layout). Like the
-  /// kernel mode, every layout is bitwise identical — it only changes the
-  /// memory substrate the gathers run on.
-  std::optional<GraphLayout> layout;
 };
 
 /// TVD-vs-walk-length curves for a set of sources.

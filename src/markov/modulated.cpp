@@ -1,74 +1,37 @@
 #include "markov/modulated.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "graph/components.hpp"
 #include "markov/frontier.hpp"
 #include "markov/transition.hpp"
-#include "parallel/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
 
 namespace {
 
-/// Rows per worker chunk, matching the transition.cpp matvecs.
-constexpr std::size_t kMatvecGrain = 2048;
-
-/// One parallel gather pass with the write expression fused in, so the
-/// trust-modulated steps no longer pay a second serial O(n) blend pass.
-template <typename Write>
-void gather_rows(const Graph& g, const Distribution& p, Distribution& out,
-                 const Write& write) {
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
-  parallel::parallel_for(
-      0, g.num_vertices(),
-      [&](std::size_t v, std::uint32_t) {
-        double acc = 0.0;
-        for (EdgeIndex i = offsets[v]; i < offsets[v + 1]; ++i) {
-          const VertexId w = targets[i];
-          if (p[w] == 0.0) continue;
-          acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
-        }
-        out[v] = write(v, acc);
-      },
-      kMatvecGrain);
-}
-
-void check_step_args(const Graph& g, const Distribution& p,
-                     const Distribution& out, const char* who) {
-  if (p.size() != g.num_vertices())
-    throw std::invalid_argument(std::string{who} + ": size mismatch");
-  if (&p == &out)
-    throw std::invalid_argument(std::string{who} + ": out must not alias p");
+void check_alpha(double alpha, const char* who) {
+  if (alpha < 0.0 || alpha >= 1.0)
+    throw std::invalid_argument(std::string{who} + ": alpha must be in [0,1)");
 }
 
 }  // namespace
 
 void step_modulated(const Graph& g, const Distribution& p, Distribution& out,
                     double alpha) {
-  if (alpha < 0.0 || alpha >= 1.0)
-    throw std::invalid_argument("step_modulated: alpha must be in [0,1)");
-  check_step_args(g, p, out, "step_modulated");
-  out.resize(g.num_vertices());
-  gather_rows(g, p, out, [&](std::size_t v, double acc) {
-    return alpha * p[v] + (1.0 - alpha) * acc;
-  });
+  check_alpha(alpha, "step_modulated");
+  TransitionOperator{g}.apply(StepKind::kModulated, alpha, p, out);
 }
 
 void step_originator_biased(const Graph& g, const Distribution& p,
                             Distribution& out, double alpha,
                             VertexId originator) {
-  if (alpha < 0.0 || alpha >= 1.0)
-    throw std::invalid_argument(
-        "step_originator_biased: alpha must be in [0,1)");
+  check_alpha(alpha, "step_originator_biased");
   if (originator >= g.num_vertices())
     throw std::out_of_range("step_originator_biased: originator out of range");
-  check_step_args(g, p, out, "step_originator_biased");
-  out.resize(g.num_vertices());
-  gather_rows(g, p, out,
-              [&](std::size_t, double acc) { return acc * (1.0 - alpha); });
+  TransitionOperator{g}.apply(StepKind::kOriginatorBiased, alpha, p, out);
   out[originator] += alpha;
 }
 
@@ -80,10 +43,12 @@ Distribution originator_stationary(const Graph& g, VertexId originator,
         "originator_stationary: alpha must be in (0,1)");
   if (originator >= g.num_vertices())
     throw std::out_of_range("originator_stationary: originator out of range");
+  TransitionOperator op{g};
   Distribution p = dirac(g.num_vertices(), originator);
   Distribution next(p.size());
   for (std::uint32_t it = 0; it < max_iterations; ++it) {
-    step_originator_biased(g, p, next, alpha, originator);
+    op.apply(StepKind::kOriginatorBiased, alpha, p, next);
+    next[originator] += alpha;
     const double distance = total_variation(p, next);
     p.swap(next);
     if (distance <= tolerance) break;

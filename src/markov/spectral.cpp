@@ -5,37 +5,15 @@
 #include <vector>
 
 #include "graph/components.hpp"
+#include "markov/transition.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace sntrust {
 
 namespace {
-
-/// y = N x where N = D^{-1/2} A D^{-1/2} (symmetric, same spectrum as P).
-/// Row-partitioned gather over the pool: each output row sums its
-/// neighbours' contributions in adjacency order, independent of chunking.
-void apply_normalized_adjacency(const Graph& g,
-                                const std::vector<double>& inv_sqrt_deg,
-                                const std::vector<double>& x,
-                                std::vector<double>& y) {
-  const auto& offsets = g.offsets();
-  const auto& targets = g.targets();
-  const VertexId n = g.num_vertices();
-  y.resize(n);
-  parallel::parallel_for(
-      0, n,
-      [&](std::size_t v, std::uint32_t) {
-        double acc = 0.0;
-        for (EdgeIndex i = offsets[v]; i < offsets[v + 1]; ++i)
-          acc += x[targets[i]] * inv_sqrt_deg[targets[i]];
-        y[v] = acc * inv_sqrt_deg[v];
-      },
-      /*grain=*/2048);
-}
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   double s = 0.0;
@@ -58,9 +36,8 @@ SlemResult second_largest_eigenvalue(const Graph& g,
     throw std::invalid_argument(
         "second_largest_eigenvalue: graph must be connected");
 
-  std::vector<double> inv_sqrt_deg(n);
-  for (VertexId v = 0; v < n; ++v)
-    inv_sqrt_deg[v] = 1.0 / std::sqrt(static_cast<double>(g.degree(v)));
+  // y = N x, with N = D^{-1/2} A D^{-1/2} (symmetric, same spectrum as P).
+  TransitionOperator op{g};
 
   // Principal eigenvector of N (eigenvalue 1): phi_v = sqrt(deg v),
   // normalized.
@@ -124,7 +101,7 @@ SlemResult second_largest_eigenvalue(const Graph& g,
   std::vector<double> y;
   double previous = 0.0;
   for (std::uint32_t it = 1; it <= options.max_iterations; ++it) {
-    apply_normalized_adjacency(g, inv_sqrt_deg, x, y);
+    op.apply(StepKind::kSymmetric, 0.0, x, y);
     deflate(y);  // re-deflate every step to kill numeric drift toward phi
     const double y_norm = norm(y);
     result.iterations = it;

@@ -138,7 +138,7 @@ const char* to_string(DiffRow::Status status);
 
 /// Checks whether two reports measured the same thing: graph fingerprints
 /// (config keys starting with "graph.") and the workload scale must match
-/// when both sides recorded them — kernel/layout/thread knobs are allowed
+/// when both sides recorded them — kernel and thread knobs are allowed
 /// to differ (comparing those is the whole point of a perf diff). Returns
 /// an empty string when compatible, otherwise a human-readable explanation
 /// of the first mismatch. Reports without provenance (pre-provenance

@@ -12,9 +12,9 @@
 // scans, or allocates.
 //
 // All artifact computations reuse the library's deterministic kernels
-// (step_distribution matvecs, run_gatekeeper, core_decomposition), so an
+// (TransitionOperator matvecs, run_gatekeeper, core_decomposition), so an
 // artifact — and hence every answer served from it — is bitwise identical at
-// any thread count, batch size, or layout.
+// any thread count or batch size.
 #pragma once
 
 #include <cstdint>

@@ -30,11 +30,7 @@ SybilRankResult run_sybilrank(const Graph& g,
   for (const VertexId s : seeds)
     trust[s] += 1.0 / static_cast<double>(seeds.size());
 
-  Distribution buffer(n);
-  for (std::uint32_t it = 0; it < iterations; ++it) {
-    step_distribution(g, trust, buffer);
-    trust.swap(buffer);
-  }
+  evolve(g, trust, iterations);
 
   SybilRankResult result;
   result.iterations_used = iterations;

@@ -229,6 +229,9 @@ TEST(FrontierWalk, BadArgumentsThrow) {
   walk.reset(0);
   EXPECT_THROW(walk.step(StepKind::kModulated, 1.0), std::invalid_argument);
   EXPECT_THROW(walk.step(StepKind::kModulated, -0.1), std::invalid_argument);
+  EXPECT_THROW(walk.step(StepKind::kOriginatorBiased, 0.2),
+               std::invalid_argument);
+  EXPECT_THROW(walk.step(StepKind::kSymmetric), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "gen/generators.hpp"
+#include "graph/builder.hpp"
+#include "graph/components.hpp"
+#include "markov/dense_spectrum.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_graphs.hpp"
+#include "util/rng.hpp"
 
 namespace sntrust {
 namespace {
@@ -102,6 +114,200 @@ TEST(Transition, LazyIsAverageOfPlainAndIdentity) {
   step_distribution_lazy(g, p, lazy);
   for (VertexId v = 0; v < 6; ++v)
     EXPECT_NEAR(lazy[v], 0.5 * plain[v] + 0.5 * p[v], 1e-15);
+}
+
+// --- The operator core against straight-line oracles ------------------------
+
+struct NamedGraph {
+  std::string name;
+  Graph graph;
+};
+
+/// K_{6,8} plus one edge inside the small side: one odd cycle, so the walk
+/// is aperiodic but lambda_n sits close to -1.
+Graph near_bipartite_graph() {
+  GraphBuilder b{14};
+  for (VertexId u = 0; u < 6; ++u)
+    for (VertexId v = 6; v < 14; ++v) b.add_edge(u, v);
+  b.add_edge(0, 1);
+  return b.build();
+}
+
+/// Small graphs (dense_spectrum's range) of every required shape.
+std::vector<NamedGraph> small_operator_graphs() {
+  return {
+      {"random", largest_component(erdos_renyi_gnm(60, 150, 3)).graph},
+      {"star", star_graph(40)},
+      {"near_bipartite", near_bipartite_graph()},
+      {"sbm",
+       largest_component(planted_partition(72, 3, 0.35, 0.02, 5)).graph},
+  };
+}
+
+/// The same shapes large enough (n > 2 x 2048 rows) that the all-rows
+/// passes split into several chunks at 4 threads.
+std::vector<NamedGraph> large_operator_graphs() {
+  return {
+      {"random", largest_component(barabasi_albert(6000, 3, 11)).graph},
+      {"star", star_graph(5000)},
+      {"near_bipartite_cycle",
+       [] {
+         GraphBuilder b{6001};  // odd cycle: bipartite but for one edge
+         for (VertexId v = 0; v < 6001; ++v) b.add_edge(v, (v + 1) % 6001);
+         return b.build();
+       }()},
+      {"sbm",
+       largest_component(planted_partition(6000, 4, 0.004, 0.0002, 13))
+           .graph},
+  };
+}
+
+std::vector<NamedGraph> all_operator_graphs() {
+  std::vector<NamedGraph> graphs = small_operator_graphs();
+  for (NamedGraph& large : large_operator_graphs())
+    graphs.push_back(std::move(large));
+  return graphs;
+}
+
+/// A distribution with zeros on roughly a third of the vertices.
+Distribution sparse_random_distribution(VertexId n, std::uint64_t seed) {
+  Rng rng{seed};
+  Distribution p(n, 0.0);
+  double total = 0.0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.uniform(3) == 0) continue;
+    p[v] = rng.uniform_real();
+    total += p[v];
+  }
+  for (double& value : p) value /= total;
+  return p;
+}
+
+/// The oracle: one straight-line loop that divides per edge and skips zero
+/// entries, as the kernels did before the pre-divided core.
+Distribution reference_step(const Graph& g, StepKind kind, double alpha,
+                            const Distribution& p) {
+  const auto offsets = g.offsets();
+  const auto targets = g.targets();
+  Distribution out(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    double acc = 0.0;
+    for (EdgeIndex i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const VertexId w = targets[i];
+      if (p[w] == 0.0) continue;
+      acc += p[w] / static_cast<double>(offsets[w + 1] - offsets[w]);
+    }
+    switch (kind) {
+      case StepKind::kPlain: out[v] = acc; break;
+      case StepKind::kLazy: out[v] = 0.5 * acc + 0.5 * p[v]; break;
+      case StepKind::kModulated:
+        out[v] = alpha * p[v] + (1.0 - alpha) * acc;
+        break;
+      case StepKind::kOriginatorBiased: out[v] = acc * (1.0 - alpha); break;
+      case StepKind::kSymmetric: ADD_FAILURE() << "not a walk blend"; break;
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const Distribution& a, const Distribution& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+constexpr std::pair<StepKind, double> kWalkBlends[] = {
+    {StepKind::kPlain, 0.0},
+    {StepKind::kLazy, 0.0},
+    {StepKind::kModulated, 0.15},
+    {StepKind::kOriginatorBiased, 0.2},
+};
+
+TEST(TransitionOperator, WalkBlendsMatchPerEdgeOracle) {
+  for (const NamedGraph& named : all_operator_graphs()) {
+    const Graph& g = named.graph;
+    const Distribution p = sparse_random_distribution(g.num_vertices(), 29);
+    for (const auto& [kind, alpha] : kWalkBlends) {
+      const Distribution want = reference_step(g, kind, alpha, p);
+      for (const std::uint32_t threads : {1u, 4u}) {
+        parallel::ScopedThreadCount scope{threads};
+        TransitionOperator op{g};
+        Distribution got;
+        op.apply(kind, alpha, p, got);
+        EXPECT_TRUE(bitwise_equal(want, got))
+            << named.name << " kind " << static_cast<int>(kind) << " @ "
+            << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(TransitionOperator, RowSubsetMatchesAllRows) {
+  for (const NamedGraph& named : all_operator_graphs()) {
+    const Graph& g = named.graph;
+    const VertexId n = g.num_vertices();
+    // A few scattered vertices carry all the mass (one of them with zero
+    // weight), so hub rows (deg > 4 |support|) take the intersection path.
+    Rng rng{41};
+    std::vector<VertexId> support = rng.sample_without_replacement(n, 5);
+    support.push_back(0);  // the star's hub, a high-degree vertex elsewhere
+    std::sort(support.begin(), support.end());
+    support.erase(std::unique(support.begin(), support.end()), support.end());
+    Distribution p(n, 0.0);
+    for (std::size_t i = 1; i < support.size(); ++i)
+      p[support[i]] = 1.0 / static_cast<double>(support.size() - 1);
+    std::vector<VertexId> rows = support;
+    for (const VertexId v : support)
+      for (const VertexId w : g.neighbors(v)) rows.push_back(w);
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+
+    TransitionOperator op{g};
+    const Distribution dense_input = sparse_random_distribution(n, 5);
+    for (const auto& [kind, alpha] : kWalkBlends) {
+      Distribution all, scratch;
+      op.apply(kind, alpha, p, all);
+      // A dense step in between leaves every scratch entry set; the subset
+      // entry must not read any of it.
+      op.apply(kind, alpha, dense_input, scratch);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        Distribution subset(n, -1.0);
+        op.apply_rows(kind, alpha, p, support, rows, subset);
+        for (const VertexId v : rows)
+          EXPECT_TRUE(std::memcmp(&subset[v], &all[v], sizeof(double)) == 0)
+              << named.name << " row " << v;
+      }
+    }
+    Distribution out(n);
+    EXPECT_THROW(op.apply_rows(StepKind::kSymmetric, 0.0, p, support, rows,
+                               out),
+                 std::invalid_argument);
+  }
+}
+
+TEST(TransitionOperator, SymmetricBlendMatchesDenseSpectrum) {
+  for (const NamedGraph& named : small_operator_graphs()) {
+    const Graph& g = named.graph;
+    const VertexId n = g.num_vertices();
+    const DenseSpectrum spectrum = dense_spectrum(g);
+    Rng rng{17};
+    std::vector<double> x(n);
+    for (double& value : x) value = rng.uniform_real() - 0.5;
+    // N x = sum_k lambda_k (v_k . x) v_k.
+    std::vector<double> want(n, 0.0);
+    for (std::size_t k = 0; k < spectrum.eigenvalues.size(); ++k) {
+      const std::vector<double>& vec = spectrum.eigenvectors[k];
+      double projection = 0.0;
+      for (VertexId v = 0; v < n; ++v) projection += vec[v] * x[v];
+      for (VertexId v = 0; v < n; ++v)
+        want[v] += spectrum.eigenvalues[k] * projection * vec[v];
+    }
+    TransitionOperator op{g};
+    std::vector<double> got;
+    op.apply(StepKind::kSymmetric, 0.0, x, got);
+    ASSERT_EQ(got.size(), want.size());
+    for (VertexId v = 0; v < n; ++v)
+      EXPECT_NEAR(got[v], want[v], 1e-12) << named.name << " row " << v;
+  }
 }
 
 }  // namespace

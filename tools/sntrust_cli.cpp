@@ -27,12 +27,6 @@
 //                        bitwise-identical results; auto starts with the
 //                        frontier-sparse pull and switches to dense gathers
 //                        once the frontier covers most of the graph.
-//   --layout <layout>    Adjacency layout for the hot loops: plain | hilo |
-//                        compressed (same as SNTRUST_LAYOUT). The
-//                        degree-ordered layouts relabel vertices hub-first
-//                        and (hilo: tail-only, compressed: everywhere)
-//                        varint-pack the adjacency; results are bitwise
-//                        identical to plain.
 //   --report <out.json>  Write the unified JSON run report (config, metrics
 //                        snapshot, per-span wall/cpu/alloc table, totals) at
 //                        exit. SNTRUST_REPORT=<path> does the same for any
@@ -104,8 +98,6 @@ int usage() {
                "sweeps (1 = serial)\n"
                "  --kernel <mode>      distribution kernel: auto | dense | "
                "sparse (bitwise identical)\n"
-               "  --layout <layout>    adjacency layout: plain | hilo | "
-               "compressed (bitwise identical)\n"
                "  --report <out.json>  write the unified JSON run report "
                "at exit\n"
                "  --deadline <ms>      cooperative wall-clock budget; "
@@ -291,14 +283,6 @@ int main(int argc, char** argv) {
         if (!mode) return usage();
         set_kernel_mode(*mode);
         obs::RunReporter::instance().set_config("kernel", to_string(*mode));
-        continue;
-      }
-      if (arg == "--layout") {
-        if (i + 1 >= argc) return usage();
-        const auto layout = parse_graph_layout(argv[++i]);
-        if (!layout) return usage();
-        set_graph_layout(*layout);
-        obs::RunReporter::instance().set_config("layout", to_string(*layout));
         continue;
       }
       if (arg == "--report") {
