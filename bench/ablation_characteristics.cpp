@@ -76,7 +76,7 @@ int main() {
     top_core_nu.push_back(nu_top);
     core_count.push_back(cores);
 
-    table.add_row({spec.name, bench::mu_cell(m, slem.converged),
+    table.add_row({spec.name, mu_cell(m, slem.converged),
                    with_thousands(g.num_vertices()),
                    fixed(degrees.mean, 1), fixed(cluster, 3),
                    fixed(diam, 0), fixed(degen, 0), fixed(nu_top, 3),

@@ -51,7 +51,7 @@ int main() {
         conductance_sweep(g, fiedler_vector(g)).best_conductance;
 
     table.add_row({fixed(cross_degree, 2),
-                   bench::mu_cell(slem.mu, slem.converged),
+                   mu_cell(slem.mu, slem.converged),
                    t == 0xFFFFFFFFu ? "> 300" : std::to_string(t),
                    std::to_string(max_cores), fixed(phi, 4)});
     std::cerr << "  cross-degree " << cross_degree << " done\n";

@@ -25,7 +25,7 @@ void run(const std::string& title, const sntrust::GrowthTrace& trace,
   for (const EvolutionPoint& p : points) {
     table.add_row({with_thousands(p.snapshot_vertices),
                    with_thousands(p.nodes), with_thousands(p.edges),
-                   bench::mu_cell(p.mu, p.mu_converged),
+                   mu_cell(p.mu, p.mu_converged),
                    std::to_string(p.degeneracy),
                    std::to_string(p.max_core_count),
                    fixed(p.min_expansion_factor, 3)});

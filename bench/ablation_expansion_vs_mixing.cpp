@@ -60,7 +60,7 @@ int main() {
 
     mus.push_back(mu);
     alphas.push_back(alpha);
-    table.add_row({spec.name, bench::mu_cell(mu, slem.converged),
+    table.add_row({spec.name, mu_cell(mu, slem.converged),
                    fixed(alpha, 4),
                    to_string(spec.expected_class)});
     std::cerr << "  " << spec.id << " done\n";

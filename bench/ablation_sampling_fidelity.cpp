@@ -65,7 +65,7 @@ int main() {
     table.add_row({row.name, with_thousands(row.graph.num_vertices()),
                    fixed(degrees.mean, 2), fixed(clustering, 3),
                    std::to_string(degeneracy),
-                   bench::mu_cell(slem.mu, slem.converged)});
+                   mu_cell(slem.mu, slem.converged)});
     std::cerr << "  " << row.name << " done\n";
   }
   table.print(std::cout);

@@ -48,7 +48,7 @@ int main() {
     const PairwiseEvaluation sr_eval = evaluate_sybilrank(attacked, {0, 1, 2});
 
     table.add_row({spec.name, to_string(spec.expected_class),
-                   bench::mu_cell(slem.mu, slem.converged),
+                   mu_cell(slem.mu, slem.converged),
                    fixed(100 * gk_eval.honest_accept_fraction, 1) + "%",
                    fixed(gk_eval.sybils_per_attack_edge, 2), fixed(auc, 3),
                    fixed(100 * sr_eval.honest_accept_fraction, 1) + "%"});

@@ -74,13 +74,6 @@ inline Graph dataset_graph(const DatasetSpec& spec, double base = 0.35) {
   return g;
 }
 
-/// A mu table cell to 4 decimals, marked when the power iteration stopped
-/// at its iteration cap before converging (the digits shown are then not
-/// all settled).
-inline std::string mu_cell(double mu, bool converged) {
-  return fixed(mu, 4) + (converged ? "" : " (capped)");
-}
-
 /// Banner + wall-clock scope timer, built on the obs layer: the printed
 /// elapsed time comes from obs::Stopwatch and the scope is recorded as a
 /// trace span, so `SNTRUST_TRACE=<path> ./fig1_mixing_time` captures every

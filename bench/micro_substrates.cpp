@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the substrates: generator throughput,
-// BFS, k-core decomposition, transition-matrix application, SLEM power
-// iteration and random-route following.
+// BFS, k-core decomposition, transition-matrix application, the Lanczos
+// SLEM and random-route following.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -12,7 +12,7 @@
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
 #include "graph/traversal.hpp"
-#include "markov/lanczos.hpp"
+#include "markov/spectral.hpp"
 #include "markov/transition.hpp"
 #include "markov/walker.hpp"
 #include "sybil/gatekeeper.hpp"
@@ -105,15 +105,13 @@ void BM_HashedRouteTail(benchmark::State& state) {
 }
 BENCHMARK(BM_HashedRouteTail);
 
-void BM_LanczosSpectrum(benchmark::State& state) {
+void BM_Slem(benchmark::State& state) {
   const Graph& g = shared_graph(state.range(0));
-  LanczosOptions options;
-  options.num_eigenvalues = 4;
   for (auto _ : state)
-    benchmark::DoNotOptimize(lanczos_spectrum(g, options));
+    benchmark::DoNotOptimize(second_largest_eigenvalue(g));
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
-BENCHMARK(BM_LanczosSpectrum)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_Slem)->Arg(1000)->Arg(10000);
 
 void BM_Louvain(benchmark::State& state) {
   const Graph& g = shared_graph(state.range(0));

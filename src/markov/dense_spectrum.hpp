@@ -1,8 +1,9 @@
 // Dense (cyclic Jacobi) eigendecomposition of the normalized adjacency
 // operator for small graphs — the exact oracle behind the iterative
-// machinery: tests cross-check power-iteration SLEM and Lanczos against it,
-// and the full decomposition yields the *exact* walk distribution at any t
-// (P^t via the spectral expansion), pinning the sampling-method TVD curves.
+// machinery: tests cross-check the Lanczos SLEM engine (lambda_2, lambda_n
+// and mu) against it, and the full decomposition yields the *exact* walk
+// distribution at any t (P^t via the spectral expansion), pinning the
+// sampling-method TVD curves.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 // non-convergence flags for every measured property.
 //
 // The pipeline's outputs are statistical estimates — mixing time from TVD
-// decay, SLEM from power iteration, expansion ratios from sampled sweeps,
+// decay, SLEM from Lanczos, expansion ratios from sampled sweeps,
 // GateKeeper acceptance rates from Bernoulli trials — but the run report
 // historically carried only the final point values. This layer records the
 // evidence behind them: per-source convergence trajectories (bounded via
@@ -109,7 +109,7 @@ ConfidenceInterval wilson_ci95(std::uint64_t successes, std::uint64_t trials);
 
 /// One recorded trajectory, ready for the report.
 struct TraceSummary {
-  std::string kind;          // "mixing.tvd", "slem.power_iteration", ...
+  std::string kind;          // "mixing.tvd", "slem.lanczos", ...
   std::uint64_t source = 0;  // vertex id / trial index the trace belongs to
   std::uint64_t iterations = 0;
   bool converged = true;

@@ -23,6 +23,10 @@ std::string fixed(double value, int digits) {
   return buf;
 }
 
+std::string mu_cell(double mu, bool converged) {
+  return fixed(mu, 4) + (converged ? "" : " (capped)");
+}
+
 std::string compact(double value, int significant) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*g", significant, value);

@@ -16,6 +16,11 @@ std::string fixed(double value, int digits);
 /// zeros of a %.*g representation.
 std::string compact(double value, int significant = 6);
 
+/// A mu (SLEM) cell to 4 decimals, marked " (capped)" when the estimate
+/// stopped at its iteration cap before converging (the digits shown are
+/// then not all settled).
+std::string mu_cell(double mu, bool converged);
+
 /// 0xdeadbeef-style hex rendering (fingerprints, CRCs).
 std::string to_hex(std::uint64_t value);
 

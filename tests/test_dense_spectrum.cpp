@@ -6,7 +6,6 @@
 
 #include "gen/generators.hpp"
 #include "graph/components.hpp"
-#include "markov/lanczos.hpp"
 #include "markov/mixing.hpp"
 #include "markov/spectral.hpp"
 #include "markov/transition.hpp"
@@ -57,26 +56,25 @@ TEST(DenseSpectrum, EigenvectorsOrthonormal) {
   }
 }
 
-TEST(DenseSpectrum, ExactSlemMatchesPowerIteration) {
+TEST(DenseSpectrum, ExactSlemMatchesLanczos) {
   for (const Graph& g :
        {petersen_graph(), two_cliques(6), cycle_graph(9),
         largest_component(barabasi_albert(80, 3, 5)).graph}) {
     const double exact = exact_slem(dense_spectrum(g));
-    const double iterative = second_largest_eigenvalue(g).mu;
-    EXPECT_NEAR(exact, iterative, 1e-5);
+    const SlemResult iterative = second_largest_eigenvalue(g);
+    EXPECT_TRUE(iterative.converged);
+    EXPECT_NEAR(exact, iterative.mu, 1e-8);
   }
 }
 
 TEST(DenseSpectrum, LanczosMatchesDenseTopEigenvalues) {
+  // Below the principal eigenvalue 1: the top (lambda_2) and the bottom
+  // (lambda_n) of the spectrum.
   const Graph g = largest_component(barabasi_albert(100, 3, 7)).graph;
   const DenseSpectrum dense = dense_spectrum(g);
-  LanczosOptions options;
-  options.num_eigenvalues = 4;
-  options.subspace = 60;
-  const LanczosResult lanczos = lanczos_spectrum(g, options);
-  for (std::size_t k = 0; k < lanczos.eigenvalues.size(); ++k)
-    EXPECT_NEAR(lanczos.eigenvalues[k], dense.eigenvalues[k], 1e-6)
-        << "eigenvalue " << k;
+  const SlemResult slem = second_largest_eigenvalue(g);
+  EXPECT_NEAR(slem.lambda_2, dense.eigenvalues[1], 1e-8);
+  EXPECT_NEAR(slem.lambda_n, dense.eigenvalues.back(), 1e-8);
 }
 
 TEST(DenseSpectrum, ExactWalkDistributionMatchesEvolution) {

@@ -222,7 +222,7 @@ TEST_F(DiagTest, RegistryBuildsTheDocumentedSectionShape) {
   for (int i = 0; i < 6; ++i) trace.add(1.0 / (1 << i));
   registry.record_trace(obs::summarize_trace("mixing.tvd", 3, trace, true));
   registry.record_estimate("mixing.tvd_final", obs::mean_ci95(15.0, 55.0, 5));
-  registry.record_nonconverged("slem.power_iteration", 0, 2, 0.9);
+  registry.record_nonconverged("slem.lanczos", 0, 2, 0.9);
   EXPECT_FALSE(registry.empty());
 
   const json::Value diag = registry.build();
@@ -232,7 +232,7 @@ TEST_F(DiagTest, RegistryBuildsTheDocumentedSectionShape) {
   EXPECT_EQ(diag.find("dropped_traces"), nullptr);  // nothing truncated
 
   const json::Value& flag = diag.find("flagged_sources")->as_array().at(0);
-  EXPECT_EQ(flag.find("kind")->as_string(), "slem.power_iteration");
+  EXPECT_EQ(flag.find("kind")->as_string(), "slem.lanczos");
   EXPECT_EQ(flag.find("iterations")->as_int(), 2);
   EXPECT_DOUBLE_EQ(flag.find("final_value")->as_number(), 0.9);
 
@@ -324,7 +324,7 @@ TEST_F(DiagTest, SlemCapExitIsFlaggedAsNonconverged) {
   EXPECT_FALSE(diag.find("converged")->as_bool());
   EXPECT_GE(diag.find("nonconverged")->as_int(), 1);
   const json::Value& flag = diag.find("flagged_sources")->as_array().at(0);
-  EXPECT_EQ(flag.find("kind")->as_string(), "slem.power_iteration");
+  EXPECT_EQ(flag.find("kind")->as_string(), "slem.lanczos");
   // The point estimates still land, CI and all, alongside the flag.
   EXPECT_NE(diag.find("estimates")->find("slem.mu"), nullptr);
   EXPECT_NE(diag.find("estimates")->find("slem.spectral_gap"), nullptr);

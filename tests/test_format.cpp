@@ -33,6 +33,11 @@ TEST(Format, CompactTrimsNoise) {
   EXPECT_EQ(compact(123456789.0, 3), "1.23e+08");
 }
 
+TEST(Format, MuCellMarksCapped) {
+  EXPECT_EQ(mu_cell(0.99731, true), "0.9973");
+  EXPECT_EQ(mu_cell(0.99731, false), "0.9973 (capped)");
+}
+
 TEST(Env, DoubleFallsBackWhenUnset) {
   unsetenv("SNTRUST_TEST_VAR");
   EXPECT_DOUBLE_EQ(env_double("SNTRUST_TEST_VAR", 2.5), 2.5);

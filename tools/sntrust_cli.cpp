@@ -175,7 +175,9 @@ int cmd_measure(const std::string& path, std::uint32_t sources) {
   table.add_row({"assortativity", fixed(degree_assortativity(g), 4)});
   table.add_row({"diameter (>=)",
                  std::to_string(double_sweep_diameter(g))});
-  table.add_row({"mu (SLEM)", fixed(report.slem.mu, 5)});
+  table.add_row(
+      {"mu (SLEM)", mu_cell(report.slem.mu, report.slem.converged)});
+  table.add_row({"SLEM iterations", std::to_string(report.slem.iterations)});
   table.add_row({"T(1/n) sampled",
                  report.mixing_time == 0xFFFFFFFFu
                      ? "> " + std::to_string(options.mixing_max_walk)
