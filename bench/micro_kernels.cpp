@@ -1,15 +1,21 @@
-// Frontier-sparse vs dense kernel microbench for the mixing measurement.
+// Kernel microbench for the mixing measurement: frontier-sparse vs dense
+// passes, and 1-lane vs kLanes-lane blocks.
 //
 // The sampling method evolves point-mass distributions, whose support stays
-// tiny for the first many steps; the frontier-sparse kernel only touches
-// support-adjacent rows while the dense kernel gathers all n rows every
-// step. This bench times the short-walk mixing sweep (the paper's regime:
-// TVD curves are read off at small t) under each kernel mode on the largest
-// slow-mixing bench analogue, verifies all modes produce bitwise identical
-// curves, locates the auto-mode crossover step, and prints one JSON object.
+// tiny for the first many steps; the sparse pull only touches
+// support-adjacent rows while a dense pass gathers all n rows every step.
+// This bench times the short-walk mixing sweep (the paper's regime: TVD
+// curves are read off at small t) under each kernel mode on the largest
+// slow-mixing bench analogue, then the same sources walked one per block
+// and kLanes per block in the dense regime, verifies all of them produce
+// bitwise identical curves, locates the auto-mode crossover step, and
+// prints one JSON object. Every leg reports ns_per_edge_lane: wall time
+// over the edges each lane-step reads (2m for a dense lane-step, the
+// gathered rows for a sparse block step).
 //
 // Run with SNTRUST_REPORT=<path> to emit the unified run report (the
 // committed bench/baselines comparisons are produced this way).
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -34,21 +40,70 @@ MixingOptions sweep_options(KernelMode mode, std::uint32_t sources,
 
 struct ModeTiming {
   double ms = 0.0;
+  double ns_per_edge_lane = 0.0;
   MixingCurves curves;
 };
 
-ModeTiming time_mode(const Graph& g, KernelMode mode, std::uint32_t sources,
-                     std::uint32_t length, int reps = 1) {
-  // Repetitions take the minimum wall time: the sweep is deterministic, so
-  // the fastest rep is the least-perturbed one on a noisy host.
+/// Edges read by the kernels so far: a dense lane-step reads all 2m.
+double edges_read(const Graph& g) {
+  return static_cast<double>(
+             obs::metrics_counter("kernel.frontier_edges").value()) +
+         static_cast<double>(
+             obs::metrics_counter("kernel.dense_steps").value()) *
+             static_cast<double>(g.targets().size());
+}
+
+/// Repetitions take the minimum wall time: the run is deterministic, so the
+/// fastest rep is the least-perturbed one on a noisy host.
+template <typename Run>
+ModeTiming time_reps(const Graph& g, int reps, Run&& run) {
   ModeTiming timing;
   for (int rep = 0; rep < reps; ++rep) {
+    const double edges0 = edges_read(g);
     obs::Stopwatch clock;
-    timing.curves = measure_mixing(g, sweep_options(mode, sources, length));
+    timing.curves = run();
     const double ms = clock.elapsed_ms();
-    if (rep == 0 || ms < timing.ms) timing.ms = ms;
+    if (rep == 0 || ms < timing.ms) {
+      timing.ms = ms;
+      const double edges = edges_read(g) - edges0;
+      timing.ns_per_edge_lane = edges > 0.0 ? 1e6 * ms / edges : 0.0;
+    }
   }
   return timing;
+}
+
+ModeTiming time_mode(const Graph& g, KernelMode mode, std::uint32_t sources,
+                     std::uint32_t length, int reps = 1) {
+  return time_reps(g, reps, [&] {
+    return measure_mixing(g, sweep_options(mode, sources, length));
+  });
+}
+
+/// The sources of `curves` walked dense for `length` steps, `lanes` to a
+/// block, on one thread.
+ModeTiming time_lanes(const Graph& g, const std::vector<VertexId>& sources,
+                      std::size_t lanes, std::uint32_t length, int reps) {
+  const Distribution pi = stationary_distribution(g);
+  const StationaryPrefix prefix{pi};
+  LaneWalk walk{g, pi, prefix, StepKind::kPlain, 0.0,
+                {KernelMode::kDense, kernel_dense_fraction()}};
+  return time_reps(g, reps, [&] {
+    MixingCurves out;
+    out.sources = sources;
+    for (std::size_t first = 0; first < sources.size(); first += lanes) {
+      const std::size_t count = std::min(lanes, sources.size() - first);
+      walk.reset({sources.data() + first, count});
+      std::vector<std::vector<double>> curves(count);
+      for (std::uint32_t t = 0; t <= length; ++t) {
+        if (t > 0) walk.step();
+        for (std::size_t l = 0; l < count; ++l)
+          curves[l].push_back(walk.tvd(l));
+      }
+      for (std::vector<double>& curve : curves)
+        out.tvd.push_back(std::move(curve));
+    }
+    return out;
+  });
 }
 
 bool bitwise_equal(const MixingCurves& a, const MixingCurves& b) {
@@ -94,8 +149,27 @@ int main() {
     const bench::Section section{"short-walk sweep [auto]"};
     automatic = time_mode(g, KernelMode::kAuto, kSources, kShortWalk, 3);
   }
+
+  // Lane width alone: the same sources walked in the saturated dense regime
+  // one per block and kLanes per block, against the plain sweep's curves.
+  constexpr std::uint32_t kLaneSources = 8;
+  constexpr std::uint32_t kLaneWalk = 40;
+  const MixingCurves reference = time_mode(
+      g, KernelMode::kDense, kLaneSources, kLaneWalk).curves;
+  ModeTiming one_lane, all_lanes;
+  {
+    const bench::Section section{"dense walk [1 lane]"};
+    one_lane = time_lanes(g, reference.sources, 1, kLaneWalk, 2);
+  }
+  {
+    const bench::Section section{"dense walk [4 lanes]"};
+    all_lanes = time_lanes(g, reference.sources, kLanes, kLaneWalk, 2);
+  }
+
   const bool identical = bitwise_equal(dense.curves, sparse.curves) &&
-                         bitwise_equal(dense.curves, automatic.curves);
+                         bitwise_equal(dense.curves, automatic.curves) &&
+                         bitwise_equal(reference, one_lane.curves) &&
+                         bitwise_equal(reference, all_lanes.curves);
 
   // Speedup as a function of walk length: the sparse advantage decays as the
   // support saturates, which is what the auto crossover exploits.
@@ -111,15 +185,18 @@ int main() {
   }
 
   // Auto-mode crossover: first step whose candidate frontier degree crosses
-  // the dense threshold, walked from the sweep's first sampled source.
+  // the dense threshold, walked from the sweep's first sampled source alone.
   std::uint32_t crossover = 0;
   double crossover_fraction = 0.0;
   {
     const bench::Section section{"crossover point"};
-    FrontierWalk walk{g, {KernelMode::kAuto, kernel_dense_fraction()}};
-    walk.reset(dense.curves.sources.front());
+    const Distribution pi = stationary_distribution(g);
+    const StationaryPrefix prefix{pi};
+    LaneWalk walk{g, pi, prefix, StepKind::kPlain, 0.0,
+                  {KernelMode::kAuto, kernel_dense_fraction()}};
+    walk.reset({dense.curves.sources.data(), 1});
     for (std::uint32_t t = 1; t <= 64; ++t) {
-      walk.step(StepKind::kPlain);
+      walk.step();
       if (walk.last_step_dense() || walk.saturated()) {
         crossover = t;
         crossover_fraction =
@@ -148,9 +225,22 @@ int main() {
   std::printf(
       "  \"short_walk\": {\"sources\": %u, \"max_walk_length\": %u,\n"
       "    \"dense_ms\": %.2f, \"sparse_ms\": %.2f, \"auto_ms\": %.2f,\n"
-      "    \"speedup_sparse\": %.2f, \"speedup_auto\": %.2f},\n",
+      "    \"speedup_sparse\": %.2f, \"speedup_auto\": %.2f,\n"
+      "    \"ns_per_edge_lane\": {\"dense\": %.3f, \"sparse\": %.3f, "
+      "\"auto\": %.3f}},\n",
       kSources, kShortWalk, dense.ms, sparse.ms, automatic.ms, speedup_sparse,
-      speedup_auto);
+      speedup_auto, dense.ns_per_edge_lane, sparse.ns_per_edge_lane,
+      automatic.ns_per_edge_lane);
+  const double lane_speedup =
+      all_lanes.ms > 0.0 ? one_lane.ms / all_lanes.ms : 0.0;
+  reporter.set_config("lane_speedup", lane_speedup);
+  std::printf(
+      "  \"lanes\": {\"sources\": %u, \"max_walk_length\": %u, "
+      "\"lanes\": %zu,\n"
+      "    \"one_lane_ms\": %.2f, \"lanes_ms\": %.2f, \"speedup\": %.2f,\n"
+      "    \"ns_per_edge_lane\": {\"one_lane\": %.3f, \"lanes\": %.3f}},\n",
+      kLaneSources, kLaneWalk, kLanes, one_lane.ms, all_lanes.ms, lane_speedup,
+      one_lane.ns_per_edge_lane, all_lanes.ns_per_edge_lane);
   std::printf("  \"by_walk_length\": [");
   for (std::size_t i = 0; i < lengths.size(); ++i) {
     const double speedup = by_length_auto[i] > 0.0

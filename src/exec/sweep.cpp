@@ -186,7 +186,7 @@ SweepResult run_sweep(std::size_t items, const SweepOptions& options,
     const std::uint64_t finished = result.restored + result.computed;
     throw CancelledError("sweep '" + options.kind + "' cancelled after " +
                          std::to_string(finished) + "/" +
-                         std::to_string(items) + " sources (" + reason + ")");
+                         std::to_string(items) + " items (" + reason + ")");
   }
 
   if (items > 0 && !failures.empty()) {
@@ -196,7 +196,7 @@ SweepResult run_sweep(std::size_t items, const SweepOptions& options,
     if (failed_frac > max_frac)
       throw PartialFailureError(
           "sweep '" + options.kind + "': " + std::to_string(failures.size()) +
-          " of " + std::to_string(items) + " sources failed (first: " +
+          " of " + std::to_string(items) + " items failed (first: " +
           failures.front().reason + "), exceeding max failed fraction " +
           std::to_string(max_frac));
   }

@@ -1,8 +1,12 @@
-// Fault-tolerant per-source sweep harness.
+// Fault-tolerant sweep harness.
 //
 // `run_sweep` wraps the repo's standard pattern — parallel_for over N
-// independent sources, one JSON-serializable result each — with the three
-// robustness behaviours every measurement sweep needs:
+// independent items, one JSON-serializable result each — with the three
+// robustness behaviours every measurement sweep needs. An item is usually
+// one source; measure_mixing's item is a block of kLanes sources evolved
+// together (markov/frontier.hpp), so there a failure, a checkpoint slot and
+// the exec.sources_* counters count blocks, and a failure's `index` names
+// the block, not a source. "Source" below means item.
 //
 //   * cooperative cancellation: the cancel token (signals, deadlines,
 //     CancelSource) is polled before every source; on cancellation in-flight
@@ -37,9 +41,9 @@
 
 namespace sntrust::exec {
 
-/// One degraded/skipped source of a sweep.
+/// One degraded/skipped item of a sweep.
 struct SourceFailure {
-  std::uint64_t index = 0;
+  std::uint64_t index = 0;  ///< item index (a block index for measure_mixing)
   std::string phase;   ///< sweep kind, e.g. "measure_mixing"
   std::string reason;  ///< exception message
 };

@@ -1,23 +1,24 @@
-// Frontier-sparse kernels for evolving walk distributions from point-mass
-// sources (the regime of the paper's sampling method, Eq. 2): the support of
-// pi^{(i)} P^t is tiny for the first many steps, so the O(m) dense gather and
-// the O(n) total-variation pass waste almost all of their work. This layer
-// tracks the distribution's support explicitly, computes each step as a pull
-// restricted to frontier-adjacent rows, and measures TVD against the
-// stationary distribution in O(|support|) with a precomputed pi prefix
-// structure.
+// Lane walks: the evolution of point-mass walk distributions pi^{(i)} P^t
+// behind the paper's sampling method (Sec. III-C, Eq. 2). Two kinds of work
+// are saved. The support of a point-mass walk is tiny for the first many
+// steps, so a step pulls only the rows next to it and measures TVD against
+// the stationary distribution gap by gap through a prefix of pi instead of
+// over all n vertices. And independent sources share every row read: a
+// LaneWalk evolves kLanes of them at once.
 //
-// Exactness contract: dense and sparse steps are the two entry points of one
-// gather core (markov/transition.hpp), which sums the same pre-scaled terms
-// of a row in the same order either way — so every kernel mode (dense,
-// sparse, auto) produces bitwise identical distributions and TVD curves. The
-// modes differ only in how much work they do, never in what they compute;
+// Exactness contract: each lane sums the same pre-scaled terms of a row in
+// the same order as a single-vector step (markov/transition.hpp's one gather
+// core), in dense and sparse passes alike, and its support evolves
+// structurally — the same in every mode — so every kernel mode (dense,
+// sparse, auto), lane position and block make-up produces bitwise identical
+// TVD curves. The modes differ only in how much work they do;
 // `SNTRUST_KERNEL` selects the process-wide default and tests pin the
 // identity.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,21 +94,40 @@ class StationaryPrefix {
 /// order, so the grouping is deterministic). `support` must be sorted
 /// ascending and cover every nonzero of `p`; vertices listed with p_v == 0
 /// are harmless (their two contributions cancel exactly in real arithmetic).
+/// LaneWalk folds this same grouping into its row pass; this standalone form
+/// is the reference its tests compare every lane against.
 double support_tvd(const Distribution& p, const std::vector<VertexId>& support,
                    const Distribution& pi, const StationaryPrefix& prefix);
 
-/// Reusable frontier-walk workspace bound to one graph: a distribution, its
-/// sorted support, and the scratch needed to expand the frontier. Sweeps
-/// construct one per worker and reset() it per source.
+/// Evolves up to kLanes point-mass walks of one chain together: the lane
+/// walk behind the sampling method (measure_mixing sweeps blocks of kLanes
+/// sources, modulated_mixing_time steps its sources as blocks). Each step
+/// reads every row it gathers once for all lanes.
 ///
-/// Support evolution is structural (next support = candidate rows =
-/// neighbours of the support, plus the support itself for self-weighted
-/// kinds) and runs identically in every kernel mode, so TVD grouping — and
-/// therefore every curve value — is mode-independent. Once the support
-/// saturates to all n vertices (a fixed point of the expansion on any graph
-/// without isolated vertices) the walk drops the bookkeeping and runs pure
-/// dense steps.
-class FrontierWalk {
+/// Layout: the state is pre-scaled and lane-interleaved, s[v][l] =
+/// p_l(v) / deg v — the division a single-vector step would make — in two
+/// n x kLanes buffers (current and next); the self-weighted kinds (kLazy,
+/// kModulated) keep a third, p, updated in place row by row. Per vertex a
+/// LaneMask holds each lane's structural support (next support = neighbours
+/// of the support, plus the support itself for self-weighted kinds).
+///
+/// One ascending pass per step, per row: gather_row (markov/transition.hpp)
+/// with one accumulator per lane, each in stored CSR order; the blend;
+/// the next pre-scaled lanes; the row's lane mask; and each lane's TVD
+/// folded with exactly support_tvd's gap grouping. Once every lane's
+/// support covers all vertices the mask work stops and the TVD takes the
+/// plain 0.5 * sum |p - pi| form, which is bitwise equal (every gap is
+/// empty). So every lane is bitwise equal to a single-source walk of the
+/// same chain under any kernel mode.
+///
+/// Kernel modes act on the block: a sparse step gathers only the rows next
+/// to the union of the lane supports; auto flips the block to dense passes
+/// once the summed degree of those rows reaches dense_fraction * 2m, and
+/// sparse once the union covers every vertex. A dense flip lasts until
+/// reset().
+///
+/// A step runs on the calling thread; callers parallelize across blocks.
+class LaneWalk {
  public:
   struct Options {
     KernelMode mode = KernelMode::kAuto;
@@ -115,53 +135,74 @@ class FrontierWalk {
     double dense_fraction = 0.5;
   };
 
-  /// Resolves mode / threshold from the process-wide defaults.
-  explicit FrontierWalk(const Graph& g);
-  FrontierWalk(const Graph& g, const Options& options);
+  /// Walks of `kind` (kPlain, kLazy or kModulated with alpha in [0, 1);
+  /// throws std::invalid_argument otherwise) on `g`, with TVDs against `pi`
+  /// (and its `prefix`), which must outlive the walk. The second form
+  /// resolves the mode and threshold from the process-wide defaults.
+  LaneWalk(const Graph& g, const Distribution& pi,
+           const StationaryPrefix& prefix, StepKind kind, double alpha,
+           const Options& options);
+  LaneWalk(const Graph& g, const Distribution& pi,
+           const StationaryPrefix& prefix, StepKind kind, double alpha = 0.0);
 
-  /// Re-points the walk at a point mass on `source`.
-  void reset(VertexId source);
+  /// Re-points lane l at a point mass on sources[l]; 1 to kLanes sources.
+  void reset(std::span<const VertexId> sources);
 
-  /// Advances one step of the chosen chain (alpha is the kModulated retain
-  /// weight, in [0, 1)). Walk kinds kPlain, kLazy and kModulated only.
-  void step(StepKind kind, double alpha = 0.0);
+  /// Advances every lane one step.
+  void step();
 
-  /// TVD of the current distribution against pi; support-aware until the
-  /// walk saturates. `pi`/`prefix` must match the graph's vertex count.
-  double tvd(const Distribution& pi, const StationaryPrefix& prefix) const;
-
-  const Distribution& distribution() const { return p_; }
-  /// Sorted structural support of the current distribution. Meaningful only
-  /// while !saturated(); saturated walks cover every vertex.
-  const std::vector<VertexId>& support() const { return support_; }
+  std::size_t lanes() const { return lanes_; }
+  /// TVD of lane l's current distribution against pi.
+  double tvd(std::size_t lane) const { return tvd_[lane]; }
+  /// p_l(v) / deg v, the pre-scaled state the next step gathers.
+  double scaled(std::size_t lane, VertexId v) const {
+    return s_[v].lane[lane];
+  }
+  /// p_l(v); self-weighted kinds only (a plain walk keeps only s).
+  double probability(std::size_t lane, VertexId v) const {
+    return p_[v].lane[lane];
+  }
+  /// Whether v is in lane l's structural support; meaningful only while
+  /// !saturated().
+  bool in_support(std::size_t lane, VertexId v) const {
+    return (mask_[v] >> lane) & 1u;
+  }
+  /// Every lane's support covers all vertices; the masks are no longer kept.
   bool saturated() const { return saturated_; }
 
-  /// True when the most recent step() used the dense gather.
+  /// True when the most recent step() ran a dense pass.
   bool last_step_dense() const { return last_step_dense_; }
-  /// Summed degree of the candidate rows in the most recent step (0 for
-  /// saturated dense steps — no candidate set is built).
+  /// Summed degree of the rows next to the union support in the most recent
+  /// step (0 once the block runs dense: no candidate set is built).
   EdgeIndex last_frontier_degree() const { return last_frontier_degree_; }
 
  private:
-  void build_candidates(bool include_support);
-  void clear_buffer();
-  void dense_step(StepKind kind, double alpha);
-  void sparse_step(StepKind kind, double alpha);
-  void commit_step();
+  enum class Pass { kSparse, kDenseMasked, kDenseSaturated };
+  template <StepKind kKind>
+  void step_as();
+  template <StepKind kKind, Pass kPass>
+  void pass(std::span<const VertexId> rows);
+  void build_candidates();
 
   const Graph& graph_;
+  const Distribution& pi_;
+  const StationaryPrefix& prefix_;
+  StepKind kind_;
+  double alpha_;
   KernelMode mode_;
   double dense_fraction_;
-  TransitionOperator op_;
 
-  Distribution p_, buffer_;
-  std::vector<VertexId> support_;         // sorted support of p_
-  std::vector<VertexId> buffer_support_;  // sorted support of buffer_
-  std::vector<VertexId> candidates_;      // rows the pending step writes
-  std::vector<std::uint32_t> seen_;       // epoch marks for frontier expansion
-  std::uint32_t epoch_ = 0;
+  std::size_t lanes_ = 0;
+  LaneMask active_ = 0;                 // one bit per lane in use
+  std::vector<LaneValues> s_, next_;    // pre-scaled state, current / next
+  std::vector<LaneValues> p_;           // self-weighted kinds only
+  std::vector<LaneMask> mask_, next_mask_;
+  // Union supports while the block runs sparse: of s_ (support_) and of the
+  // step before, whose stale values next_ still holds (stale_support_).
+  std::vector<VertexId> support_, stale_support_, candidates_;
+  bool dense_ = false;
   bool saturated_ = false;
-  bool buffer_saturated_ = false;
+  double tvd_[kLanes] = {};
 
   bool last_step_dense_ = false;
   EdgeIndex last_frontier_degree_ = 0;

@@ -1,9 +1,11 @@
 #include "markov/mixing.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "exec/checkpoint.hpp"
+#include "exec/fault.hpp"
 #include "exec/sweep.hpp"
 #include "graph/components.hpp"
 #include "markov/walker.hpp"
@@ -19,37 +21,52 @@ namespace sntrust {
 
 namespace {
 
-// Sweep payloads: one TVD curve as a JSON array. Both fresh and restored
-// curves pass through dump+parse (doubles are shortest-round-trip, so the
-// trip is bitwise lossless), which is what makes a resumed sweep aggregate
-// exactly what an uninterrupted one would.
-std::string encode_curve(const std::vector<double>& curve) {
+// Sweep payloads: the TVD curves of one item (a block of sources for the
+// exact sweep, one source for the Monte-Carlo one) as a JSON array of
+// arrays. Both fresh and restored curves pass through dump+parse (doubles
+// are shortest-round-trip, so the trip is bitwise lossless), which is what
+// makes a resumed sweep aggregate exactly what an uninterrupted one would.
+// The format tag goes into both fingerprints, so a checkpoint written in
+// another format is refused rather than decoded.
+constexpr std::uint64_t kPayloadFormat = 2;
+
+std::string encode_curves(const std::vector<std::vector<double>>& curves) {
   json::Array items;
-  items.reserve(curve.size());
-  for (const double v : curve) items.push_back(json::Value::number(v));
+  items.reserve(curves.size());
+  for (const std::vector<double>& curve : curves) {
+    json::Array values;
+    values.reserve(curve.size());
+    for (const double v : curve) values.push_back(json::Value::number(v));
+    items.push_back(json::Value::array(std::move(values)));
+  }
   return json::Value::array(std::move(items)).dump();
 }
 
-std::vector<double> decode_curve(const std::string& payload) {
-  const json::Value value = json::Value::parse(payload);
-  std::vector<double> curve;
-  curve.reserve(value.as_array().size());
-  for (const json::Value& v : value.as_array()) curve.push_back(v.as_number());
-  return curve;
-}
-
-// Rebuilds (sources, tvd) keeping only the sources whose payload exists;
-// failed sources are dropped from the curve set, matching their absence
+// Rebuilds (sources, tvd) keeping only the sources whose item's payload
+// exists; item i holds sources [i * per_item, (i + 1) * per_item). A failed
+// item's sources are dropped from the curve set, matching their absence
 // from the aggregate a degraded run reports.
-void collect_curves(const exec::SweepResult& swept, MixingCurves& out) {
+void collect_curves(const exec::SweepResult& swept, std::size_t per_item,
+                    MixingCurves& out) {
   std::vector<VertexId> sources;
   std::vector<std::vector<double>> tvd;
   sources.reserve(out.sources.size());
   tvd.reserve(out.sources.size());
   for (std::size_t i = 0; i < swept.payloads.size(); ++i) {
     if (swept.payloads[i].empty()) continue;
-    sources.push_back(out.sources[i]);
-    tvd.push_back(decode_curve(swept.payloads[i]));
+    const json::Value value = json::Value::parse(swept.payloads[i]);
+    const json::Array& curves = value.as_array();
+    if (curves.size() !=
+        std::min(per_item, out.sources.size() - i * per_item))
+      throw std::runtime_error("mixing sweep: malformed payload for item " +
+                               std::to_string(i));
+    for (std::size_t l = 0; l < curves.size(); ++l) {
+      sources.push_back(out.sources[i * per_item + l]);
+      std::vector<double>& curve = tvd.emplace_back();
+      curve.reserve(curves[l].as_array().size());
+      for (const json::Value& v : curves[l].as_array())
+        curve.push_back(v.as_number());
+    }
   }
   out.sources = std::move(sources);
   out.tvd = std::move(tvd);
@@ -139,49 +156,65 @@ MixingCurves measure_mixing(const Graph& g, const MixingOptions& options) {
 
   const Distribution pi = stationary_distribution(g);
   const StationaryPrefix prefix{pi};
-  const FrontierWalk::Options kernel{
+  const LaneWalk::Options kernel{
       options.kernel.value_or(kernel_mode()),
       options.kernel_dense_fraction.value_or(kernel_dense_fraction())};
   const StepKind kind = options.lazy ? StepKind::kLazy : StepKind::kPlain;
-  // One curve slot per source position: workers write disjoint slots, so
-  // the result is bitwise identical for any thread count. The kernel mode
-  // never changes the values either (see markov/frontier.hpp), only how
-  // much of the graph each step touches — which is also why it stays out of
-  // the checkpoint fingerprint.
+  // One sweep item per block of kLanes sources (the last may be partial),
+  // one payload slot per block: workers write disjoint slots, so the result
+  // is bitwise identical for any thread count. Neither the kernel mode nor
+  // a source's lane changes the values (see markov/frontier.hpp), only how
+  // much of the graph each step touches — which is also why the mode stays
+  // out of the checkpoint fingerprint.
+  const std::size_t blocks = (k + kLanes - 1) / kLanes;
   obs::ProgressMeter progress{"mixing sources", k};
-  struct Scratch {
-    std::vector<FrontierWalk> walk;  // 0 or 1 entries; lazily constructed
-  };
-  std::vector<Scratch> scratch(parallel::plan_workers(k));
+  // One walk per worker, built up front on the calling thread, so an item
+  // allocates only its curves.
+  const std::uint32_t workers = parallel::plan_workers(blocks);
+  std::vector<LaneWalk> walks;
+  walks.reserve(workers);
+  for (std::uint32_t w = 0; w < workers; ++w)
+    walks.emplace_back(g, pi, prefix, kind, 0.0, kernel);
+  std::atomic<std::uint64_t> lanes_computed{0};
 
   exec::SweepOptions sweep;
   sweep.kind = "measure_mixing";
-  sweep.fault_site = "markov";
+  // Fault trials stay per source: a block runs the `markov` trial of each
+  // of its sources (index = source position) and fails if any fires.
+  sweep.fault_site = nullptr;
   sweep.token = exec::process_token();
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), k, options.max_walk_length,
-       options.lazy ? 1ULL : 0ULL, options.seed, exec::graph_fingerprint(g)});
+       options.lazy ? 1ULL : 0ULL, options.seed, exec::graph_fingerprint(g),
+       kLanes, kPayloadFormat});
   const exec::SweepResult swept = exec::run_sweep(
-      k, sweep, [&](std::size_t i, std::uint32_t worker) {
-        Scratch& s = scratch[worker];
-        if (s.walk.empty()) s.walk.emplace_back(g, kernel);
-        FrontierWalk& walk = s.walk.front();
-        walk.reset(out.sources[i]);
-        std::vector<double> curve;
-        curve.reserve(options.max_walk_length + 1);
-        curve.push_back(walk.tvd(pi, prefix));
-        for (std::uint32_t t = 1; t <= options.max_walk_length; ++t) {
-          walk.step(kind);
-          curve.push_back(walk.tvd(pi, prefix));
+      blocks, sweep, [&](std::size_t b, std::uint32_t worker) {
+        const std::size_t first = b * kLanes;
+        const std::size_t lanes = std::min<std::size_t>(kLanes, k - first);
+        for (std::size_t l = 0; l < lanes; ++l)
+          exec::fault_point("markov", first + l);
+        LaneWalk& walk = walks[worker];
+        walk.reset({out.sources.data() + first, lanes});
+        std::vector<std::vector<double>> curves(lanes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          curves[l].reserve(options.max_walk_length + 1);
+          curves[l].push_back(walk.tvd(l));
         }
-        progress.tick();
-        return encode_curve(curve);
+        for (std::uint32_t t = 1; t <= options.max_walk_length; ++t) {
+          walk.step();
+          for (std::size_t l = 0; l < lanes; ++l)
+            curves[l].push_back(walk.tvd(l));
+        }
+        progress.tick(lanes);
+        lanes_computed.fetch_add(lanes, std::memory_order_relaxed);
+        return encode_curves(curves);
       });
-  collect_curves(swept, out);
+  collect_curves(swept, kLanes, out);
   record_mixing_diag("mixing.tvd", out);
   obs::count("mixing.sources", out.sources.size());
   obs::count("mixing.distribution_steps",
-             swept.computed * options.max_walk_length);
+             lanes_computed.load(std::memory_order_relaxed) *
+                 options.max_walk_length);
   return out;
 }
 
@@ -223,7 +256,7 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
   sweep.token = exec::process_token();
   sweep.fingerprint = exec::fingerprint(
       {n, g.num_edges(), k, options.max_walk_length, walks_per_point,
-       options.seed, exec::graph_fingerprint(g)});
+       options.seed, exec::graph_fingerprint(g), kPayloadFormat});
   const exec::SweepResult swept = exec::run_sweep(
       k, sweep, [&](std::size_t i, std::uint32_t worker) {
         Scratch& s = scratch[worker];
@@ -243,9 +276,9 @@ MixingCurves measure_mixing_monte_carlo(const Graph& g,
           curve.push_back(total_variation(s.empirical, pi));
         }
         progress.tick();
-        return encode_curve(curve);
+        return encode_curves({curve});
       });
-  collect_curves(swept, out);
+  collect_curves(swept, 1, out);
   record_mixing_diag("mixing.monte_carlo", out);
   return out;
 }

@@ -16,8 +16,9 @@ namespace sntrust {
 
 struct MixingOptions {
   /// Number of source vertices sampled uniformly at random (the paper uses
-  /// 100; the cost is one matvec per source per step — frontier-sparse for
-  /// short walks, O(m) once the support saturates).
+  /// 100). They are evolved kLanes at a time (LaneWalk): the cost is one
+  /// row pass per block of sources per step — frontier-sparse for short
+  /// walks, O(m) once the support saturates.
   std::uint32_t num_sources = 100;
   /// Maximum walk length to evolve.
   std::uint32_t max_walk_length = 100;

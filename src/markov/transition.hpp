@@ -2,10 +2,13 @@
 // vectors, without ever materializing the n x n matrix — and its symmetric
 // form N = D^{-1/2} A D^{-1/2} (same spectrum, Sec. III-C). Every CSR
 // random-walk or spectral matvec in the repo runs through the one gather
-// core below.
+// core below, `gather_row`: TransitionOperator applies it to one vector,
+// LaneWalk (markov/frontier.hpp) to kLanes lane-interleaved vectors at once.
 #pragma once
 
-#include <span>
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -25,14 +28,62 @@ enum class StepKind {
                       ///< y = N x; isolated vertices map to 0
 };
 
-/// The one CSR gather core. A step runs in two passes:
+/// The blend write of row v (see StepKind). `self` is p_v for the
+/// self-weighted walk blends and 1/sqrt(deg v) for kSymmetric; the other
+/// blends ignore it.
+template <StepKind kKind>
+inline double blend(double acc, double alpha, double self) {
+  if constexpr (kKind == StepKind::kPlain) return acc;
+  else if constexpr (kKind == StepKind::kLazy) return 0.5 * acc + 0.5 * self;
+  else if constexpr (kKind == StepKind::kModulated)
+    return alpha * self + (1.0 - alpha) * acc;
+  else if constexpr (kKind == StepKind::kOriginatorBiased)
+    return acc * (1.0 - alpha);
+  else return acc * self;
+}
+
+/// Sources one lane step evolves together (LaneWalk, markov/frontier.hpp).
+/// A compile-time width, so the lane loops unroll into SIMD across lanes.
+inline constexpr std::size_t kLanes = 4;
+
+/// One bit per lane: a vertex's membership in each lane's support.
+using LaneMask = std::uint8_t;
+
+/// One vertex's value in every lane. Lane state is an array of these
+/// (lane-interleaved), aligned so a vertex's lanes are one 32-byte load.
+struct alignas(kLanes * sizeof(double)) LaneValues {
+  double lane[kLanes];
+};
+
+/// The CSR gather core: acc[l] += s_w[l] for every neighbour w in the row
+/// [first, last), in stored order. `Slot` is double for one vector and
+/// LaneValues for a lane block. The lane loop is the only vectorized one —
+/// SIMD runs across lanes, while each lane sums its own row in the same
+/// order as a single-vector gather, so every lane is bitwise equal to it.
+/// With kMask the gather also returns the OR of the neighbours' lane masks.
+template <bool kMask, typename Slot>
+inline LaneMask gather_row(const VertexId* first, const VertexId* last,
+                           const Slot* s, const LaneMask* mask, double* acc) {
+  LaneMask reached = 0;
+  for (; first != last; ++first) {
+    const VertexId w = *first;
+    if constexpr (std::is_same_v<Slot, double>) {
+      acc[0] += s[w];
+    } else {
+      for (std::size_t l = 0; l < kLanes; ++l) acc[l] += s[w].lane[l];
+    }
+    if constexpr (kMask) reached |= mask[w];
+  }
+  return reached;
+}
+
+/// The single-vector operator. A step runs in two passes:
 ///
 ///   1. pre-scale once per vertex: s_w = p_w / deg(w) for the walk blends,
 ///      s_w = x_w * inv_sqrt_deg(w) for kSymmetric. Each s_w is the exact
 ///      double a per-edge expression would produce, computed n times
 ///      instead of m;
-///   2. gather: acc += s_w over each row in stored order, then one blend
-///      write per row.
+///   2. gather_row over each row, then one blend write per row.
 ///
 /// Rows are independent and sum in a fixed order, so the result is bitwise
 /// identical at any thread count. Terms with p_w == 0 contribute +0.0, which
@@ -51,24 +102,12 @@ class TransitionOperator {
   void apply(StepKind kind, double alpha, const Distribution& p,
              Distribution& out);
 
-  /// Only the sorted `rows`, for a walk whose nonzeros all lie on the sorted
-  /// `support`: pre-scales the support alone and writes out[v] for v in
-  /// `rows` (other entries are untouched). Bitwise equal to the same rows of
-  /// apply(). A row much longer than the support gathers row ∩ support by
-  /// binary search, which visits the same nonzero terms in the same order.
-  /// Walk blends only.
-  void apply_rows(StepKind kind, double alpha, const Distribution& p,
-                  std::span<const VertexId> support,
-                  std::span<const VertexId> rows, Distribution& out);
-
   /// 1/sqrt(deg v), 0 for isolated vertices (the kSymmetric scaling).
   const std::vector<double>& inv_sqrt_degree();
 
  private:
   const Graph& graph_;
-  std::vector<double> scaled_;        // s; zero off the support between
-                                      // apply_rows calls
-  bool scaled_dense_ = false;         // apply() filled every entry of s
+  std::vector<double> scaled_;        // s
   std::vector<double> inv_sqrt_deg_;  // built on first use
 };
 

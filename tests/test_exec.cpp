@@ -497,15 +497,22 @@ TEST(ExecResume, MixingPartialFailureThenResumeIsBitwiseIdentical) {
   exec::CheckpointStore::instance().set_path(path);
 
   // Degraded first pass: some sources fail (deterministically, by hash) and
-  // are tolerated; the survivors land in the checkpoint.
+  // are tolerated; the survivors land in the checkpoint. The sweep item is
+  // a block of kLanes sources, failing when any of its sources' trials
+  // fires: at this seed the first and last blocks fail and the middle one
+  // survives, so the resume below both restores and recomputes.
   exec::FaultPlan plan;
   plan.site = "markov";
-  plan.seed = 5;
+  plan.seed = 11;
   plan.prob = 0.4;
   exec::set_fault_plan(plan);
   exec::set_max_failed_frac(1.0);
   const MixingCurves degraded = measure_mixing(g, options);
-  EXPECT_LT(degraded.sources.size(), baseline.sources.size());
+  ASSERT_EQ(degraded.sources.size(), kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    EXPECT_EQ(degraded.sources[l], baseline.sources[kLanes + l]);
+    EXPECT_EQ(degraded.tvd[l], baseline.tvd[kLanes + l]);
+  }
 
   // Second pass heals: failed sources recompute cleanly, completed ones are
   // restored — the merged result must equal the baseline bitwise.
@@ -519,6 +526,38 @@ TEST(ExecResume, MixingPartialFailureThenResumeIsBitwiseIdentical) {
   }
   EXPECT_EQ(healed.sources, baseline.sources);
   EXPECT_EQ(healed.tvd, baseline.tvd);
+  std::remove(path.c_str());
+}
+
+TEST(ExecResume, MixingRefusesPerSourceCheckpoint) {
+  ExecStateGuard guard;
+  const Graph g = acceptance_graph();
+  MixingOptions options = acceptance_mixing_options();
+  options.num_sources = 3;  // one block: the item count a per-source
+                            // checkpoint of one source would also have
+  const MixingCurves baseline = measure_mixing(g, options);
+
+  // A checkpoint in the per-source layout: one bare curve per item, keyed
+  // by the configuration words alone. With one source it has the block
+  // sweep's item count; it must be refused, not decoded as a block.
+  const std::string path = temp_path("sntrust_exec_mixing_per_source.json");
+  std::remove(path.c_str());
+  exec::CheckpointStore::instance().set_path(path);
+  options.num_sources = 1;
+  const std::uint64_t per_source_fingerprint = exec::fingerprint(
+      {g.num_vertices(), g.num_edges(), 1, options.max_walk_length, 0ULL,
+       options.seed, exec::graph_fingerprint(g)});
+  exec::CheckpointStore::instance().save("measure_mixing",
+                                         per_source_fingerprint, 1,
+                                         {"[0.5,0.25]"});
+  exec::CheckpointStore::instance().set_path(path);  // reload from disk
+  const std::uint64_t restored0 =
+      obs::metrics_counter("exec.sources_restored").value();
+  const MixingCurves resumed = measure_mixing(g, options);
+  EXPECT_EQ(obs::metrics_counter("exec.sources_restored").value(), restored0);
+  ASSERT_EQ(resumed.sources.size(), 1u);
+  EXPECT_EQ(resumed.sources.front(), baseline.sources.front());
+  EXPECT_EQ(resumed.tvd.front(), baseline.tvd.front());
   std::remove(path.c_str());
 }
 

@@ -241,49 +241,6 @@ TEST(TransitionOperator, WalkBlendsMatchPerEdgeOracle) {
   }
 }
 
-TEST(TransitionOperator, RowSubsetMatchesAllRows) {
-  for (const NamedGraph& named : all_operator_graphs()) {
-    const Graph& g = named.graph;
-    const VertexId n = g.num_vertices();
-    // A few scattered vertices carry all the mass (one of them with zero
-    // weight), so hub rows (deg > 4 |support|) take the intersection path.
-    Rng rng{41};
-    std::vector<VertexId> support = rng.sample_without_replacement(n, 5);
-    support.push_back(0);  // the star's hub, a high-degree vertex elsewhere
-    std::sort(support.begin(), support.end());
-    support.erase(std::unique(support.begin(), support.end()), support.end());
-    Distribution p(n, 0.0);
-    for (std::size_t i = 1; i < support.size(); ++i)
-      p[support[i]] = 1.0 / static_cast<double>(support.size() - 1);
-    std::vector<VertexId> rows = support;
-    for (const VertexId v : support)
-      for (const VertexId w : g.neighbors(v)) rows.push_back(w);
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-
-    TransitionOperator op{g};
-    const Distribution dense_input = sparse_random_distribution(n, 5);
-    for (const auto& [kind, alpha] : kWalkBlends) {
-      Distribution all, scratch;
-      op.apply(kind, alpha, p, all);
-      // A dense step in between leaves every scratch entry set; the subset
-      // entry must not read any of it.
-      op.apply(kind, alpha, dense_input, scratch);
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        Distribution subset(n, -1.0);
-        op.apply_rows(kind, alpha, p, support, rows, subset);
-        for (const VertexId v : rows)
-          EXPECT_TRUE(std::memcmp(&subset[v], &all[v], sizeof(double)) == 0)
-              << named.name << " row " << v;
-      }
-    }
-    Distribution out(n);
-    EXPECT_THROW(op.apply_rows(StepKind::kSymmetric, 0.0, p, support, rows,
-                               out),
-                 std::invalid_argument);
-  }
-}
-
 TEST(TransitionOperator, SymmetricBlendMatchesDenseSpectrum) {
   for (const NamedGraph& named : small_operator_graphs()) {
     const Graph& g = named.graph;
